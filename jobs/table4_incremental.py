@@ -24,24 +24,20 @@ from typing import List, Optional
 
 import pandas as pd
 
-from repro.core import SpadeEngine, metric_by_name
+from repro.core import metric_by_name
 from repro.core.peel import peel
 from repro.datasets import PRESETS, load_preset
 from repro.datasets.generator import GraphData
+from repro.spark.builder import engine_from_frame
 from repro.spark.streaming import replay
 
 BATCH_SIZES = [1, 10, 100, 1_000, 10_000]
 METRICS = ["DG", "DW", "FD"]
 
 
-def _edge_rows(pdf) -> List[tuple]:
-    return list(pdf[["src", "dst", "amount"]].itertuples(index=False, name=None))
-
-
 def static_time(data: GraphData, metric_name: str) -> float:
     """Seconds for one from-scratch detection on the *full* graph."""
-    eng = SpadeEngine(metric_by_name(metric_name))
-    eng.bulk_load(_edge_rows(data.edges), priors=data.priors)
+    eng = engine_from_frame(data.edges, metric_by_name(metric_name), data.priors)
     n, adj, a = eng.snapshot_graph()
     t0 = time.perf_counter()
     peel(n, adj, a)
@@ -55,8 +51,7 @@ def incremental_per_edge_us(
     max_edges: Optional[int] = None,
 ) -> float:
     """Average µs/edge replaying increments at one batch size."""
-    eng = SpadeEngine(metric_by_name(metric_name))
-    eng.bulk_load(_edge_rows(data.initial), priors=data.priors)
+    eng = engine_from_frame(data.initial, metric_by_name(metric_name), data.priors)
     inc = data.increments
     if max_edges is not None:
         inc = inc.head(max_edges)

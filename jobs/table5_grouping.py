@@ -35,25 +35,17 @@ from typing import List, Optional
 import numpy as np
 import pandas as pd
 
-from repro.core import SpadeEngine, metric_by_name
+from repro.core import metric_by_name
 from repro.core.peel import peel
-from repro.core.sim import (
-    prevention_ratio,
-    simulate_batch,
-    simulate_grouping,
-    simulate_static,
-)
+from repro.core.sim import prevention_ratio, simulate_groups, simulate_static
 from repro.datasets import load_preset
 from repro.datasets.generator import GraphData
+from repro.spark.builder import engine_from_frame
 from repro.spark.streaming import replay, replay_grouped
 
 GRAB_SETS = ["grab1_lite", "grab2_lite", "grab3_lite", "grab4_lite"]
 METRICS = ["DG", "DW", "FD"]
 BATCH = 1_000
-
-
-def _edge_rows(pdf) -> List[tuple]:
-    return list(pdf[["src", "dst", "amount"]].itertuples(index=False, name=None))
 
 
 def _calibrated_arrivals(data: GraphData, static_s: float, batch: int) -> np.ndarray:
@@ -65,14 +57,17 @@ def _calibrated_arrivals(data: GraphData, static_s: float, batch: int) -> np.nda
     return ts * (target_span / span)
 
 
+def _group_sizes(result) -> List[int]:
+    """Sizes of the contiguous edge groups a replay applied, in order."""
+    return [d.n_edges for d in result.detections]
+
+
 def _detection_response(result, sim, blocks) -> List[Optional[float]]:
     """Per fraud block: response time of the batch that first flagged it.
 
-    ``result`` is a ReplayResult whose detections are aligned with the
-    flush/batch structure of ``sim`` (same number of entries, same
-    order); the sim response of a batch is the response of its edges.
+    ``sim`` was simulated over ``_group_sizes(result)``, so its groups
+    are the replay's detections; a batch responds when its edges do.
     """
-    # Build per-batch response: batches are contiguous edge ranges.
     responses: List[Optional[float]] = [None] * len(blocks)
     start = 0
     for i, det in enumerate(result.detections):
@@ -114,8 +109,7 @@ def run(
         for m in METRICS:
             metric = metric_by_name(m)
             # --- static ε: scratch peel per detection --------------------
-            eng = SpadeEngine(metric)
-            eng.bulk_load(_edge_rows(data.edges), priors=data.priors)
+            eng = engine_from_frame(data.edges, metric, data.priors)
             n, adj, a = eng.snapshot_graph()
             t0 = time.perf_counter()
             peel(n, adj, a)
@@ -123,23 +117,24 @@ def run(
             arrivals = _calibrated_arrivals(data, static_s, batch)
 
             # --- Inc-1K batch replay ------------------------------------
-            eng_b = SpadeEngine(metric)
-            eng_b.bulk_load(_edge_rows(data.initial), priors=data.priors)
+            eng_b = engine_from_frame(data.initial, metric, data.priors)
             res_b = replay(eng_b, inc, batch)
             batch_times = [d.elapsed_s for d in res_b.detections]
             mean_bt = float(np.mean(batch_times))
 
             # --- edge grouping replay -----------------------------------
-            eng_g = SpadeEngine(metric)
-            eng_g.bulk_load(_edge_rows(data.initial), priors=data.priors)
+            eng_g = engine_from_frame(data.initial, metric, data.priors)
             res_g, urgent = replay_grouped(eng_g, inc, max_buffer=10 * batch)
 
             # --- latency simulation (Eq. 4, over labeled fraud edges) ---
+            # The groups are the updates each replay actually applied.
             sim_s = simulate_static(arrivals, static_s)
-            sim_b = simulate_batch(arrivals, batch, lambda b: mean_bt * b / batch)
+            sim_b = simulate_groups(
+                arrivals, _group_sizes(res_b), lambda b: mean_bt * b / batch
+            )
             per_edge_g = res_g.total_elapsed_s / max(1, res_g.total_edges)
-            sim_g = simulate_grouping(
-                arrivals, urgent, lambda b: per_edge_g * b, max_buffer=10 * batch
+            sim_g = simulate_groups(
+                arrivals, _group_sizes(res_g), lambda b: per_edge_g * b
             )
             n_est = len(data.established_blocks)
             fraud_mask = (

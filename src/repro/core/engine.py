@@ -40,11 +40,12 @@ suffix-density argmax).
 from __future__ import annotations
 
 import heapq
+import math
 from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from repro.core.peel import peel_sequence
+from repro.core.peel import best_community, peel_sequence
 from repro.core.susp import Metric
 
 #: (src, dst, amount) with optional trailing fields ignored by the engine.
@@ -135,15 +136,9 @@ class SpadeEngine:
     # ------------------------------------------------------------------
     # vertex / edge bookkeeping
     # ------------------------------------------------------------------
-    def _intern(self, ext: Hashable, prior: Optional[float]) -> Tuple[int, bool]:
-        vid = self._vid_of.get(ext)
-        if vid is not None:
-            return vid, False
+    def _intern(self, ext: Hashable, a: float) -> int:
+        """Register a new vertex with suspiciousness ``a``; return its vid."""
         vid = len(self._ext_of)
-        p = self.default_prior if prior is None else prior
-        a = float(self.metric.vsusp(p))
-        if a < 0:
-            raise ValueError(f"vsusp must be >= 0 (Property 3.1), got {a}")
         self._vid_of[ext] = vid
         self._ext_of.append(ext)
         self._adj.append({})
@@ -156,28 +151,81 @@ class SpadeEngine:
             grown[: len(self._pos)] = self._pos
             self._pos = grown
         self._pos[vid] = -1
-        return vid, True
+        return vid
 
-    def _add_edge_weight(self, u: int, v: int, c: float) -> None:
-        """Accumulate edge weight into the combined adjacency (no self-loops)."""
-        self._adj[u][v] = self._adj[u].get(v, 0.0) + c
-        self._adj[v][u] = self._adj[v].get(u, 0.0) + c
-        self._w0[u] += c
-        self._w0[v] += c
-        self._f_total += c
-        self._n_edges += 1
+    def _weigh(
+        self,
+        edges: Iterable[EdgeLike],
+        priors: Dict[Hashable, Optional[float]],
+    ) -> Tuple[List[Tuple[Hashable, Hashable, float]], Dict[Hashable, float]]:
+        """Check a whole update before any state changes.
 
-    def _edge_weight(self, dst: int, amount: float) -> float:
-        """Evaluate ``esusp`` for a new edge against the *current* graph.
-
-        The object vertex's degree already includes this edge (it is
-        incremented first), matching Fraudar's weighting of the final
-        graph when edges arrive one at a time.
+        Returns the edges as ``(src, dst, c)``, with ``esusp`` evaluated
+        at the object degree each edge will see once its predecessors
+        are applied (Fraudar's weighting of the final graph when edges
+        arrive one at a time), and ``a`` of every vertex the update
+        introduces. A self-loop or a weight outside Property 3.1 raises
+        ``ValueError`` with the engine untouched.
         """
-        self._in_deg[dst] += 1
-        c = float(self.metric.esusp(amount, self._in_deg[dst]))
-        self.metric.check(0.0, c)
-        return c
+        vid_of, in_deg = self._vid_of, self._in_deg
+        vsusp, esusp, check = self.metric.vsusp, self.metric.esusp, self.metric.check
+        new_a: Dict[Hashable, float] = {}
+        deg: Dict[Hashable, int] = {}  # object degree after this update's edges
+        weighed = []
+        for e in edges:
+            src, dst, amount = e[0], e[1], float(e[2])
+            if src == dst:
+                raise ValueError(f"self-loop {src!r}->{dst!r} not supported")
+            for x in (src, dst):
+                if x not in vid_of and x not in new_a:
+                    p = priors.get(x)
+                    a = float(vsusp(self.default_prior if p is None else p))
+                    check(a=a)
+                    new_a[x] = a
+            d = deg.get(dst)
+            if d is None:
+                v = vid_of.get(dst)
+                d = 0 if v is None else in_deg[v]
+            deg[dst] = d = d + 1
+            c = float(esusp(amount, d))
+            check(c=c)
+            weighed.append((src, dst, c))
+        return weighed, new_a
+
+    def _apply(
+        self,
+        weighed: List[Tuple[Hashable, Hashable, float]],
+        new_a: Dict[Hashable, float],
+        head_insert: bool,
+    ) -> Set[int]:
+        """Add checked edges to the graph; return the vids they touch.
+
+        New vertices are interned in first-seen order and, on the
+        incremental path, placed at the head of the sequence (§4.1).
+        """
+        vid_of, adj, w0, in_deg = self._vid_of, self._adj, self._w0, self._in_deg
+        touched: Set[int] = set()
+        for src, dst, c in weighed:
+            u = vid_of.get(src)
+            if u is None:
+                u = self._intern(src, new_a[src])
+                if head_insert:
+                    self._insert_head(u)
+            v = vid_of.get(dst)
+            if v is None:
+                v = self._intern(dst, new_a[dst])
+                if head_insert:
+                    self._insert_head(v)
+            in_deg[v] += 1
+            adj[u][v] = adj[u].get(v, 0.0) + c
+            adj[v][u] = adj[v].get(u, 0.0) + c
+            w0[u] += c
+            w0[v] += c
+            self._f_total += c
+            touched.add(u)
+            touched.add(v)
+        self._n_edges += len(weighed)
+        return touched
 
     # ------------------------------------------------------------------
     # bulk load + static peel (initialization path)
@@ -186,30 +234,14 @@ class SpadeEngine:
         self,
         edges: Iterable[EdgeLike],
         priors: Optional[Dict[Hashable, float]] = None,
-        edge_weights: Optional[Sequence[float]] = None,
     ) -> None:
         """Load the initial graph and compute its peeling sequence.
 
-        ``edges`` yields ``(src, dst, amount, ...)`` tuples. If
-        ``edge_weights`` is given (e.g. final-graph FD weights computed
-        by the Spark builder), it overrides ``esusp`` evaluation —
-        otherwise weights are evaluated in arrival order exactly as
-        ``insert_edge`` would.
+        ``edges`` yields ``(src, dst, amount, ...)`` tuples; weights are
+        evaluated in arrival order exactly as ``insert_edge`` would. A
+        rejected edge raises ``ValueError`` before anything is loaded.
         """
-        priors = priors or {}
-        for i, e in enumerate(edges):
-            src, dst, amount = e[0], e[1], float(e[2])
-            u, _ = self._intern(src, priors.get(src))
-            v, _ = self._intern(dst, priors.get(dst))
-            if u == v:
-                raise ValueError(f"self-loop {src!r}->{dst!r} not supported")
-            if edge_weights is not None:
-                self._in_deg[v] += 1
-                c = float(edge_weights[i])
-                self.metric.check(0.0, c)
-            else:
-                c = self._edge_weight(v, amount)
-            self._add_edge_weight(u, v, c)
+        self._apply(*self._weigh(edges, priors or {}), head_insert=False)
         self._rebuild_sequence()
 
     def _rebuild_sequence(self) -> None:
@@ -231,17 +263,11 @@ class SpadeEngine:
     # ------------------------------------------------------------------
     def _refresh_detection(self) -> Set[Hashable]:
         """Rescan suffix densities; return the *new* fraudsters (ext ids)."""
-        n = self._hi - self._lo
-        if n == 0:
-            self._best_g = 0.0
-            self._community = set()
-            return set()
-        d = self._delta[self._lo : self._hi]
-        f = self._f_total - np.concatenate(([0.0], np.cumsum(d[:-1])))
-        g_all = f / np.arange(n, 0, -1, dtype=np.float64)
-        i = int(np.argmax(g_all))
-        self._best_index = self._lo + i
-        self._best_g = float(g_all[i])
+        lo, hi = self._lo, self._hi
+        i, self._best_g = best_community(
+            self._order[lo:hi], self._delta[lo:hi], self._f_total
+        )
+        self._best_index = lo + i
         new_comm = set(map(int, self._order[self._best_index : self._hi]))
         fresh = new_comm - self._community
         self._community = new_comm
@@ -461,23 +487,12 @@ class SpadeEngine:
         edges: Sequence[EdgeLike],
         priors: Optional[Dict[Hashable, Optional[float]]] = None,
     ) -> Set[Hashable]:
-        """InsertBatchEdges: apply ``ΔE`` and reorder once (Algorithm 2)."""
-        priors = priors or {}
-        black: Set[int] = set()
-        for e in edges:
-            src, dst, amount = e[0], e[1], float(e[2])
-            u, new_u = self._intern(src, priors.get(src))
-            if new_u:
-                self._insert_head(u)
-            v, new_v = self._intern(dst, priors.get(dst))
-            if new_v:
-                self._insert_head(v)
-            if u == v:
-                raise ValueError(f"self-loop {src!r}->{dst!r} not supported")
-            c = self._edge_weight(v, amount)
-            self._add_edge_weight(u, v, c)
-            black.add(u)
-            black.add(v)
+        """InsertBatchEdges: apply ``ΔE`` and reorder once (Algorithm 2).
+
+        The whole batch is checked first: a rejected edge raises
+        ``ValueError`` and leaves the engine as it was.
+        """
+        black = self._apply(*self._weigh(edges, priors or {}), head_insert=True)
         self._reorder(black)
         return self._refresh_detection()
 
@@ -491,11 +506,15 @@ class SpadeEngine:
         candidate weight ``c`` is evaluated with the object degree the
         edge *would* have (current in-degree + 1), without mutating
         state. Unknown endpoints contribute ``w(S_0) = vsusp(default)``.
+        An edge the engine would reject raises ``ValueError``, so it
+        never reaches the benign buffer.
         """
         u = self._vid_of.get(src)
         v = self._vid_of.get(dst)
         deg = (self._in_deg[v] if v is not None else 0) + 1
         c = float(self.metric.esusp(float(amount), deg))
+        if src == dst or not 0.0 < c < math.inf:
+            self._weigh([(src, dst, amount)], {})  # raises the batch path's error
         w_u = self._w0[u] if u is not None else float(
             self.metric.vsusp(self.default_prior)
         )
@@ -518,20 +537,21 @@ class SpadeEngine:
         optional ``max_buffer`` bounds the buffer so purely-benign
         streams still flush periodically (the paper's buffer is flushed
         by urgent edges; Table 5's grouping rows accumulate >1K edges).
+        A rejected edge raises with the buffer and the graph unchanged.
         """
         if self.is_benign(src, dst, amount):
             self._benign_buffer.append((src, dst, amount))
             if max_buffer is not None and len(self._benign_buffer) >= max_buffer:
                 return self.flush_buffer()
             return set()
-        batch = self._benign_buffer + [(src, dst, amount)]
+        fresh = self.insert_batch(self._benign_buffer + [(src, dst, amount)])
         self._benign_buffer = []
-        return self.insert_batch(batch)
+        return fresh
 
     def flush_buffer(self) -> Set[Hashable]:
         """Force-apply any buffered benign edges (end-of-stream flush)."""
         if not self._benign_buffer:
             return set()
-        batch = self._benign_buffer
+        fresh = self.insert_batch(self._benign_buffer)
         self._benign_buffer = []
-        return self.insert_batch(batch)
+        return fresh

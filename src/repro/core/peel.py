@@ -77,8 +77,8 @@ def best_community(
     removals); ``f(S_i) = f_total - Σ_{k<i} Δ_k`` and
     ``g(S_i) = f(S_i) / (n - i)``. The empty set is excluded. Returns
     ``(best_index, best_density)``; ties resolve to the smallest index
-    (largest community), matching ``np.argmax`` semantics used by the
-    incremental engine.
+    (largest community). This is the one suffix-density scan: the
+    incremental engine's ``Detect`` runs it on its live sequence too.
     """
     n = len(order)
     if n == 0:

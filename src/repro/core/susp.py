@@ -41,15 +41,17 @@ class Metric:
     vsusp: Callable[[float], float]
     esusp: Callable[[float, int], float]
 
-    def check(self, a: float, c: float) -> None:
-        """Enforce Property 3.1: ``a_i >= 0`` and ``c_ij > 0``."""
-        if a < 0:
+    def check(self, a: float = 0.0, c: float = 1.0) -> None:
+        """Enforce Property 3.1: ``a_i >= 0`` and ``c_ij > 0``, both finite."""
+        if not 0 <= a < math.inf:
             raise ValueError(
-                f"metric {self.name}: vertex suspiciousness must be >= 0, got {a}"
+                f"metric {self.name}: vertex suspiciousness must be >= 0 "
+                f"and finite, got {a}"
             )
-        if not c > 0:
+        if not 0 < c < math.inf:
             raise ValueError(
-                f"metric {self.name}: edge suspiciousness must be > 0, got {c}"
+                f"metric {self.name}: edge suspiciousness must be > 0 "
+                f"and finite, got {c}"
             )
 
 

@@ -1,23 +1,10 @@
-"""Spark substrate: graph construction, distributed peeling, streaming.
+"""Spark substrate: engine bootstrap and Structured Streaming ingestion.
 
-All set-oriented work lives here as DataFrame/Spark-SQL transformations
-(degrees, Fraudar edge weighting, vertex indexing, the distributed
-2(1+eps)-approximate peel, and the Structured Streaming micro-batch
-ingestion path), with results handed to the driver-resident
-``SpadeEngine`` via Arrow.
+Spark does the set-oriented work: reading the transaction log, ordering
+it and shipping it to the driver via Arrow, and the micro-batch file
+stream. The sequential peel state stays in the driver-resident
+``SpadeEngine``.
 """
-from repro.spark.builder import (
-    build_engine,
-    degrees,
-    edge_weights,
-    vertex_ids,
-)
-from repro.spark.distributed_peel import distributed_peel
+from repro.spark.builder import build_engine, edge_rows, engine_from_frame
 
-__all__ = [
-    "build_engine",
-    "degrees",
-    "edge_weights",
-    "vertex_ids",
-    "distributed_peel",
-]
+__all__ = ["build_engine", "edge_rows", "engine_from_frame"]

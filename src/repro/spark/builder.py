@@ -1,90 +1,39 @@
-"""Graph construction as Spark DataFrame transformations (Fig. 1 pipeline).
+"""Engine construction from an edge frame (the Fig. 1 bootstrap).
 
-The transaction log is a DataFrame ``(src, dst, amount, ts, ...)``;
-this module derives the graph artifacts the engine and the distributed
-peel need:
+The transaction log is a frame ``(src, dst, amount, ts, ...)``. There is
+one way to turn it into a driver-resident engine:
 
-* ``vertex_ids``   — dense 0..n-1 vertex index (deterministic order);
-* ``degrees``      — per-vertex out/in degree;
-* ``edge_weights`` — per-edge suspiciousness ``c_ij`` under DG/DW/FD,
-  FD weighting each edge by the *final-graph* in-degree of its object
-  vertex (``1/log(indeg+5)``), computed with a join against the degree
-  table — the exact static-Fraudar semantics;
-* ``build_engine`` — bootstrap a ``SpadeEngine`` from the initial 90 %
-  of the log, shipping the weighted edge list to the driver via Arrow.
-
-Every function returns a DataFrame with stable column aliases so tests
-can oracle-check it against the equivalent DuckDB SQL.
+* ``engine_from_frame`` — bulk-load a ``SpadeEngine`` from a pandas edge
+  frame, evaluating ``esusp`` edge by edge in frame order (the
+  evolving-graph semantics every later insertion uses);
+* ``build_engine`` — the Spark front of it: order a Spark edge
+  DataFrame by timestamp, ship it to the driver via Arrow
+  (``toPandas``) and hand it to ``engine_from_frame``.
 """
 from __future__ import annotations
 
-from typing import Dict, Hashable, Optional
+from typing import Dict, Hashable, List, Optional, Tuple
 
-from pyspark.sql import DataFrame, SparkSession, Window
-from pyspark.sql import functions as F
+from pyspark.sql import DataFrame, SparkSession
 
 from repro.core.engine import SpadeEngine
-from repro.core.susp import FD_LOG_C, Metric
+from repro.core.susp import Metric
+
+EDGE_COLUMNS = ["src", "dst", "amount"]
 
 
-def vertex_ids(edges: DataFrame) -> DataFrame:
-    """Dense vertex index ``(v, vid)`` with vid in 0..n-1, ordered by v.
-
-    A window ``row_number`` over the sorted distinct vertices keeps the
-    assignment deterministic (monotonically_increasing_id would not be
-    dense nor stable across partitionings).
-    """
-    verts = (
-        edges.select(F.col("src").alias("v"))
-        .union(edges.select(F.col("dst").alias("v")))
-        .distinct()
-    )
-    w = Window.orderBy("v")
-    return verts.select("v", (F.row_number().over(w) - 1).alias("vid"))
+def edge_rows(frame) -> List[Tuple]:
+    """The ``(src, dst, amount)`` tuples of a pandas edge frame, in order."""
+    return list(frame[EDGE_COLUMNS].itertuples(index=False, name=None))
 
 
-def degrees(edges: DataFrame) -> DataFrame:
-    """Per-vertex ``(v, out_deg, in_deg)``; absent directions count 0."""
-    out_d = edges.groupBy(F.col("src").alias("v")).agg(
-        F.count(F.lit(1)).alias("out_deg")
-    )
-    in_d = edges.groupBy(F.col("dst").alias("v")).agg(
-        F.count(F.lit(1)).alias("in_deg")
-    )
-    return (
-        out_d.join(in_d, "v", "full_outer")
-        .select(
-            "v",
-            F.coalesce("out_deg", F.lit(0)).alias("out_deg"),
-            F.coalesce("in_deg", F.lit(0)).alias("in_deg"),
-        )
-    )
-
-
-def edge_weights(edges: DataFrame, metric_name: str) -> DataFrame:
-    """Append the suspiciousness column ``weight`` under a metric.
-
-    DG: 1.0; DW: the transaction amount; FD: ``1/log(in_deg(dst)+5)``
-    with the in-degree of the object vertex on the *whole* input — the
-    static Fraudar weighting.
-    """
-    m = metric_name.upper()
-    if m == "DG":
-        return edges.withColumn("weight", F.lit(1.0))
-    if m == "DW":
-        return edges.withColumn("weight", F.col("amount").cast("double"))
-    if m == "FD":
-        in_d = edges.groupBy(F.col("dst").alias("_v")).agg(
-            F.count(F.lit(1)).alias("_in_deg")
-        )
-        return (
-            edges.join(in_d, edges["dst"] == in_d["_v"], "left")
-            .withColumn(
-                "weight", 1.0 / F.log(F.col("_in_deg") + F.lit(FD_LOG_C))
-            )
-            .drop("_v", "_in_deg")
-        )
-    raise KeyError(f"unknown metric {metric_name!r}")
+def engine_from_frame(
+    frame, metric: Metric, priors: Optional[Dict[Hashable, float]] = None
+) -> SpadeEngine:
+    """A :class:`SpadeEngine` bulk-loaded from a pandas edge frame."""
+    eng = SpadeEngine(metric)
+    eng.bulk_load(edge_rows(frame), priors=priors)
+    return eng
 
 
 def build_engine(
@@ -92,32 +41,10 @@ def build_engine(
     edges: DataFrame,
     metric: Metric,
     priors: Optional[Dict[Hashable, float]] = None,
-    use_final_graph_weights: bool = False,
 ) -> SpadeEngine:
     """Bootstrap a :class:`SpadeEngine` from a Spark edge DataFrame.
 
-    By default the engine evaluates ``esusp`` edge by edge in timestamp
-    order (the evolving-graph semantics every later insertion uses).
-    With ``use_final_graph_weights`` the Spark-side static weighting of
-    :func:`edge_weights` is shipped instead — useful when comparing
-    against the standalone static Fraudar baseline.
+    Edges are loaded in timestamp order when the frame has ``ts``.
     """
-    cols = ["src", "dst", "amount"]
-    order_col = "ts" if "ts" in edges.columns else None
-    if use_final_graph_weights:
-        wdf = edge_weights(edges, metric.name)
-        if order_col:
-            wdf = wdf.orderBy(order_col)
-        pdf = wdf.select(*cols, "weight").toPandas()
-        eng = SpadeEngine(metric)
-        eng.bulk_load(
-            list(pdf[cols].itertuples(index=False, name=None)),
-            priors=priors,
-            edge_weights=pdf["weight"].to_numpy(),
-        )
-        return eng
-    df = edges.orderBy(order_col) if order_col else edges
-    pdf = df.select(*cols).toPandas()
-    eng = SpadeEngine(metric)
-    eng.bulk_load(list(pdf.itertuples(index=False, name=None)), priors=priors)
-    return eng
+    df = edges.orderBy("ts") if "ts" in edges.columns else edges
+    return engine_from_frame(df.select(*EDGE_COLUMNS).toPandas(), metric, priors)

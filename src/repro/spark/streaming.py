@@ -19,14 +19,16 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
-from typing import List, Optional, Set
+from typing import Callable, List, Optional, Set, Tuple
 
 import numpy as np
 import pandas as pd
 from pyspark.sql import SparkSession
 
 from repro.core.engine import SpadeEngine
+from repro.spark.builder import edge_rows
 
 STREAM_SCHEMA = (
     "src LONG, dst LONG, amount DOUBLE, ts DOUBLE, is_fraud BOOLEAN, block LONG"
@@ -65,12 +67,47 @@ class ReplayResult:
         e = self.total_edges
         return 1e6 * self.total_elapsed_s / e if e else 0.0
 
-    def first_detection_of(self, vertices: Set) -> Optional[BatchDetection]:
-        """First batch whose new fraudsters intersect ``vertices``."""
-        for d in self.detections:
-            if d.new_fraudsters & vertices:
-                return d
-        return None
+
+def _apply_and_record(
+    result: ReplayResult,
+    engine: SpadeEngine,
+    update: Callable[[], Set],
+    n_edges: int,
+    last_ts: float,
+    batch_id: Optional[int] = None,
+    carried_s: float = 0.0,
+) -> float:
+    """The apply-and-record step every ingestion path shares.
+
+    Times ``update()``, an engine call that returns the new fraudsters.
+    A call that only grew the benign buffer returns its time, to be
+    carried into the next call. Any other call applied its edges: record
+    one detection over ``n_edges`` edges, the last arriving at
+    ``last_ts``, charged ``carried_s`` as well, and return 0.
+    """
+    buffered = engine.buffered_edges
+    t0 = time.perf_counter()
+    fresh = update()
+    elapsed = carried_s + time.perf_counter() - t0
+    if engine.buffered_edges > buffered:
+        return elapsed
+    result.detections.append(
+        BatchDetection(
+            batch_id=len(result.detections) if batch_id is None else batch_id,
+            n_edges=n_edges,
+            elapsed_s=elapsed,
+            new_fraudsters=fresh,
+            density=engine.best_density,
+            last_ts=last_ts,
+        )
+    )
+    return 0.0
+
+
+def _in_ts_order(increments: pd.DataFrame) -> Tuple[List[Tuple], np.ndarray]:
+    """Edge rows and timestamps of the increment log, stably ts-sorted."""
+    inc = increments.sort_values("ts", kind="mergesort")
+    return edge_rows(inc), inc["ts"].to_numpy()
 
 
 def write_increment_files(
@@ -111,20 +148,13 @@ def run_stream(
         pdf = batch_df.orderBy("ts").toPandas()
         if pdf.empty:
             return
-        t0 = time.perf_counter()
-        fresh = engine.insert_batch(
-            list(pdf[["src", "dst", "amount"]].itertuples(index=False, name=None))
-        )
-        dt = time.perf_counter() - t0
-        result.detections.append(
-            BatchDetection(
-                batch_id=int(batch_id),
-                n_edges=len(pdf),
-                elapsed_s=dt,
-                new_fraudsters=fresh,
-                density=engine.best_density,
-                last_ts=float(pdf["ts"].iloc[-1]),
-            )
+        _apply_and_record(
+            result,
+            engine,
+            partial(engine.insert_batch, edge_rows(pdf)),
+            len(pdf),
+            float(pdf["ts"].iloc[-1]),
+            batch_id=int(batch_id),
         )
 
     stream = (
@@ -149,24 +179,16 @@ def replay(
     batch_size: int,
 ) -> ReplayResult:
     """Timestamp-ordered in-process replay with per-batch timing."""
-    inc = increments.sort_values("ts", kind="mergesort")
-    rows = list(inc[["src", "dst", "amount"]].itertuples(index=False, name=None))
-    ts = inc["ts"].to_numpy()
+    rows, ts = _in_ts_order(increments)
     result = ReplayResult()
-    for bid, s in enumerate(range(0, len(rows), batch_size)):
+    for s in range(0, len(rows), batch_size):
         chunk = rows[s : s + batch_size]
-        t0 = time.perf_counter()
-        fresh = engine.insert_batch(chunk)
-        dt = time.perf_counter() - t0
-        result.detections.append(
-            BatchDetection(
-                batch_id=bid,
-                n_edges=len(chunk),
-                elapsed_s=dt,
-                new_fraudsters=fresh,
-                density=engine.best_density,
-                last_ts=float(ts[min(s + len(chunk), len(ts)) - 1]),
-            )
+        _apply_and_record(
+            result,
+            engine,
+            partial(engine.insert_batch, chunk),
+            len(chunk),
+            float(ts[s + len(chunk) - 1]),
         )
     return result
 
@@ -175,52 +197,37 @@ def replay_grouped(
     engine: SpadeEngine,
     increments: pd.DataFrame,
     max_buffer: Optional[int] = None,
-) -> tuple:
+) -> Tuple[ReplayResult, np.ndarray]:
     """Edge-grouping replay: returns (ReplayResult, urgent-flag array).
 
     Each urgent edge (Definition 4.1) flushes the benign buffer through
     one batch reorder; benign edges cost only the O(1) classification.
-    The per-"batch" detection entries correspond to flushes.
+    The detection entries are the flushes, in order, so their
+    ``n_edges`` are the sizes of the groups the engine applied. The
+    urgent flags are read before each call, outside the timed region
+    (``insert_grouped`` classifies the edge again itself).
     """
-    inc = increments.sort_values("ts", kind="mergesort")
-    rows = list(inc[["src", "dst", "amount"]].itertuples(index=False, name=None))
-    ts = inc["ts"].to_numpy()
+    rows, ts = _in_ts_order(increments)
     result = ReplayResult()
     urgent = np.zeros(len(rows), dtype=bool)
-    pending_since = 0
-    acc_dt = 0.0  # classification + buffering cost since the last flush
+    carried_s = 0.0
     for i, (src, dst, amount) in enumerate(rows):
-        t0 = time.perf_counter()
         urgent[i] = not engine.is_benign(src, dst, amount)
-        fresh = engine.insert_grouped(src, dst, amount, max_buffer=max_buffer)
-        acc_dt += time.perf_counter() - t0
-        # A benign edge always lands in the buffer, so an empty buffer
-        # after the call means this step flushed (urgent or cap hit).
-        if engine.buffered_edges == 0:
-            result.detections.append(
-                BatchDetection(
-                    batch_id=len(result.detections),
-                    n_edges=i - pending_since + 1,
-                    elapsed_s=acc_dt,
-                    new_fraudsters=fresh,
-                    density=engine.best_density,
-                    last_ts=float(ts[i]),
-                )
-            )
-            pending_since = i + 1
-            acc_dt = 0.0
+        carried_s = _apply_and_record(
+            result,
+            engine,
+            partial(engine.insert_grouped, src, dst, amount, max_buffer=max_buffer),
+            engine.buffered_edges + 1,
+            float(ts[i]),
+            carried_s=carried_s,
+        )
     if engine.buffered_edges:
-        t0 = time.perf_counter()
-        fresh = engine.flush_buffer()
-        acc_dt += time.perf_counter() - t0
-        result.detections.append(
-            BatchDetection(
-                batch_id=len(result.detections),
-                n_edges=len(rows) - pending_since,
-                elapsed_s=acc_dt,
-                new_fraudsters=fresh,
-                density=engine.best_density,
-                last_ts=float(ts[-1]) if len(ts) else 0.0,
-            )
+        _apply_and_record(
+            result,
+            engine,
+            engine.flush_buffer,
+            engine.buffered_edges,
+            float(ts[-1]),
+            carried_s=carried_s,
         )
     return result, urgent

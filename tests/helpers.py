@@ -3,7 +3,7 @@ from __future__ import annotations
 
 import random
 from itertools import combinations
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core import SpadeEngine, validate_peeling
 from repro.core.peel import best_community
@@ -73,3 +73,24 @@ def brute_force_best_density(
             )
             best = max(best, f / k)
     return best
+
+
+def grouping_flush_sizes(
+    urgent: Sequence[bool], max_buffer: Optional[int] = None
+) -> List[int]:
+    """Group sizes of edge grouping, derived from the urgent flags alone.
+
+    The rule of §4.3 applied to a stream: an urgent edge flushes the
+    pending edges with it, a benign edge flushes them once ``max_buffer``
+    are pending, and the trailing benign edges flush at end of stream.
+    """
+    sizes: List[int] = []
+    pending = 0
+    for u in urgent:
+        pending += 1
+        if u or (max_buffer is not None and pending >= max_buffer):
+            sizes.append(pending)
+            pending = 0
+    if pending:
+        sizes.append(pending)
+    return sizes

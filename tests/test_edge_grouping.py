@@ -1,7 +1,7 @@
 """Edge grouping (§4.3): Definition 4.1, Lemmas 4.3/4.4, buffer semantics."""
 import pytest
 
-from repro.core import DG, DW, FD, SpadeEngine
+from repro.core import DG, DW, FD, Metric, SpadeEngine
 from tests.helpers import assert_engine_valid, random_edges
 
 METRICS = [DG, DW, FD]
@@ -47,34 +47,50 @@ class TestIsBenign:
         assert not eng.is_benign("new1", "new2", 11.0)
 
 
+def _benign_edge(eng):
+    """An edge that satisfies Definition 4.1, built from the definition.
+
+    Endpoints are tried in order of least ``w(S_0)``, the loaded vertices
+    first and then two fresh ones (``w(S_0) = vsusp(0) = 0``). The amount
+    is half the pair's headroom ``g(S^P) - max w(S_0)``, which is ``c``
+    itself under DW; the first pair whose ``c`` fits under the headroom
+    for both endpoints is returned.
+    """
+    g = eng.best_density
+    w0 = {x: eng._w0[eng._vid_of[x]] for x in eng.order_external()}
+    pool = sorted(w0, key=lambda x: (w0[x], x)) + ["fresh-a", "fresh-b"]
+    for i, u in enumerate(pool):
+        for v in pool[i + 1 :]:
+            w = max(w0.get(u, 0.0), w0.get(v, 0.0))
+            amt = (g - w) / 2
+            if amt <= 0:
+                continue
+            vid = eng._vid_of.get(v)
+            c = eng.metric.esusp(amt, (eng._in_deg[vid] if vid is not None else 0) + 1)
+            if w + c < g:
+                return u, v, amt
+    raise AssertionError("no pair of endpoints satisfies Definition 4.1")
+
+
 class TestBenignLemmas:
     """Lemma 4.4: a benign insertion either keeps its endpoints out of the
     new community or strictly lowers the community density."""
 
     @pytest.mark.parametrize("seed", range(10))
-    @pytest.mark.parametrize("metric", [DG, DW], ids=lambda m: m.name)
+    @pytest.mark.parametrize("metric", METRICS, ids=lambda m: m.name)
     def test_lemma_4_4(self, seed, metric):
-        import random
-
-        rng = random.Random(seed)
         edges = random_edges(seed, n=8, m=22)
         eng = SpadeEngine(metric, vertex_prior=0.0)
         eng.bulk_load(edges)
         g_before = eng.best_density
-        # Find a benign candidate edge.
-        for _ in range(50):
-            u, v = f"v{rng.randrange(8)}", f"v{rng.randrange(10)}"
-            if u == v:
-                continue
-            amt = round(rng.uniform(0.05, 0.5), 2)
-            if eng.is_benign(u, v, amt):
-                eng.insert_edge(u, v, amt)
-                comm = eng.community_external()
-                assert (u not in comm and v not in comm) or (
-                    eng.best_density < g_before
-                ), "benign edge created a denser community containing it"
-                return
-        pytest.skip("no benign candidate found for this seed")
+        u, v, amt = _benign_edge(eng)
+        assert eng.is_benign(u, v, amt)
+        eng.insert_edge(u, v, amt)
+        comm = eng.community_external()
+        assert (u not in comm and v not in comm) or (
+            eng.best_density < g_before
+        ), "benign edge created a denser community containing it"
+        assert_engine_valid(eng)
 
 
 class TestGroupedInsertion:
@@ -122,6 +138,39 @@ class TestGroupedInsertion:
         assert e1.f_total == pytest.approx(e2.f_total)
         assert e1.best_density == pytest.approx(e2.best_density)
         assert_engine_valid(e1)
+
+    @pytest.mark.parametrize(
+        "bad", [("c", "c", 0.5), ("c", "e", -0.5), ("x", "y", float("inf"))]
+    )
+    def test_rejected_edge_leaves_buffer_and_graph(self, bad):
+        """A rejected edge raises before it reaches the buffer."""
+        eng = _dense_pair_engine()
+        eng.insert_grouped("c", "e", 0.5)
+        order = eng.order_external()
+        with pytest.raises(ValueError):
+            eng.insert_grouped(*bad)
+        assert eng.buffered_edges == 1
+        assert eng.n_edges == 3 and eng.order_external() == order
+        eng.flush_buffer()
+        assert eng.n_edges == 4
+        assert_engine_valid(eng)
+
+    def test_failed_flush_keeps_the_buffer(self):
+        """An urgent edge whose batch is rejected does not drop the benign
+        edges waiting before it. Here the second edge into one object
+        vertex gets c = -1, which only the batch check can see."""
+        once = Metric(
+            "ONCE", vsusp=lambda p: 0.0, esusp=lambda amt, deg: amt if deg < 2 else -1.0
+        )
+        eng = _dense_pair_engine(once)
+        eng.insert_grouped("x", "q", 0.5)
+        with pytest.raises(ValueError):
+            eng.insert_grouped("y", "q", 50.0)  # urgent; the batch is rejected
+        assert eng.buffered_edges == 1
+        assert eng.n_edges == 3
+        eng.flush_buffer()
+        assert eng.n_edges == 4
+        assert_engine_valid(eng)
 
     @pytest.mark.parametrize("metric", METRICS, ids=lambda m: m.name)
     def test_grouped_stream_stays_valid(self, metric):

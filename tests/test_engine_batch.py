@@ -105,3 +105,39 @@ def test_interleaved_batches_and_singles():
     eng.insert_batch(edges[36:])
     assert_engine_valid(eng)
     assert eng.n_edges == len(edges)
+
+
+def _state(eng):
+    return (
+        eng.order_external(),
+        list(eng.deltas()),
+        eng.f_total,
+        eng.n_edges,
+        eng.community_external(),
+    )
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [("x", "x", 1.0), ("a", "c", -1.0), ("a", "c", float("nan"))],
+    ids=["self-loop", "negative", "nan"],
+)
+def test_rejected_batch_leaves_state_untouched(bad):
+    """A batch is checked whole before any edge of it is applied."""
+    eng = SpadeEngine(DW)
+    eng.bulk_load([("a", "b", 1.0), ("b", "c", 1.0), ("c", "a", 1.0)])
+    before = _state(eng)
+    with pytest.raises(ValueError):
+        eng.insert_batch([("a", "d", 1.0), ("d", "b", 2.0), bad])
+    assert _state(eng) == before
+    assert_engine_valid(eng)
+
+
+def test_rejected_prior_leaves_state_untouched():
+    eng = SpadeEngine(FD)
+    eng.bulk_load([("a", "b", 1.0), ("b", "c", 1.0)])
+    before = _state(eng)
+    with pytest.raises(ValueError, match=">= 0"):
+        eng.insert_batch([("a", "d", 1.0), ("e", "b", 1.0)], priors={"e": -1.0})
+    assert _state(eng) == before
+    assert_engine_valid(eng)

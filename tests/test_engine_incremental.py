@@ -198,3 +198,29 @@ def test_property_incremental_equals_scratch(data):
     for e in edges[split:]:
         eng.insert_edge(*e)
     assert_engine_valid(eng)
+
+
+@pytest.mark.parametrize("amount", [float("inf"), float("nan")])
+def test_non_finite_weight_rejected(amount):
+    eng = SpadeEngine(DW)
+    eng.bulk_load([("a", "b", 1.0), ("b", "c", 2.0)])
+    with pytest.raises(ValueError, match="finite"):
+        eng.insert_edge("a", "c", amount)
+    assert eng.n_edges == 2
+    assert_engine_valid(eng)
+    loaded = SpadeEngine(DW)
+    with pytest.raises(ValueError, match="finite|> 0"):
+        loaded.bulk_load([("a", "b", 1.0), ("b", "c", amount)])
+    assert loaded.n_vertices == 0 and loaded.n_edges == 0
+    assert_engine_valid(loaded)
+
+
+def test_non_finite_prior_rejected():
+    eng = SpadeEngine(FD)
+    eng.bulk_load([("a", "b", 1.0)])
+    with pytest.raises(ValueError, match="finite"):
+        eng.insert_edge("a", "z", 1.0, dst_prior=float("inf"))
+    with pytest.raises(ValueError, match="finite"):
+        SpadeEngine(FD).bulk_load([("a", "b", 1.0)], priors={"b": float("inf")})
+    assert eng.n_vertices == 2
+    assert_engine_valid(eng)

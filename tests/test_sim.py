@@ -2,12 +2,13 @@
 import numpy as np
 import pytest
 
-from repro.core.sim import (
-    prevention_ratio,
-    simulate_batch,
-    simulate_grouping,
-    simulate_static,
-)
+from repro.core.sim import prevention_ratio, simulate_groups, simulate_static
+from tests.helpers import grouping_flush_sizes
+
+
+def _batches(n, batch_size):
+    """Group sizes of fixed-size batching: full batches, then the remainder."""
+    return [min(batch_size, n - s) for s in range(0, n, batch_size)]
 
 
 class TestStatic:
@@ -35,42 +36,52 @@ class TestStatic:
 
 class TestBatch:
     def test_batch_responds_at_last_arrival_plus_proc(self):
-        r = simulate_batch([1.0, 2.0, 7.0], batch_size=3, proc_time=lambda b: 0.5)
+        r = simulate_groups([1.0, 2.0, 7.0], _batches(3, 3), proc_time=lambda b: 0.5)
         assert list(r.response) == pytest.approx([7.5] * 3)
         assert r.latency[0] == pytest.approx(6.5)
 
     def test_partial_trailing_batch_flushes_at_end(self):
-        r = simulate_batch([1.0, 2.0, 3.0, 10.0], batch_size=3, proc_time=lambda b: 1.0)
+        r = simulate_groups(
+            [1.0, 2.0, 3.0, 10.0], _batches(4, 3), proc_time=lambda b: 1.0
+        )
         assert list(r.response[:3]) == pytest.approx([4.0] * 3)
         assert r.response[3] == pytest.approx(11.0)
 
     def test_larger_batches_increase_queueing(self):
         t = np.arange(1.0, 1001.0)
-        small = simulate_batch(t, 10, lambda b: 0.0).mean_latency
-        large = simulate_batch(t, 500, lambda b: 0.0).mean_latency
+        small = simulate_groups(t, _batches(len(t), 10), lambda b: 0.0).mean_latency
+        large = simulate_groups(t, _batches(len(t), 500), lambda b: 0.0).mean_latency
         assert large > small
 
 
 class TestGrouping:
     def test_urgent_edge_flushes_immediately(self):
         urgent = [False, False, True]
-        r = simulate_grouping([1.0, 2.0, 3.0], urgent, proc_time=lambda b: 0.1)
+        r = simulate_groups(
+            [1.0, 2.0, 3.0], grouping_flush_sizes(urgent), proc_time=lambda b: 0.1
+        )
         assert list(r.response) == pytest.approx([3.1] * 3)
 
     def test_urgent_latency_is_processing_only(self):
         urgent = [False, True, False, True]
-        r = simulate_grouping([1.0, 5.0, 6.0, 9.0], urgent, proc_time=lambda b: 0.2)
+        r = simulate_groups(
+            [1.0, 5.0, 6.0, 9.0], grouping_flush_sizes(urgent), proc_time=lambda b: 0.2
+        )
         assert r.latency[1] == pytest.approx(0.2)
         assert r.latency[3] == pytest.approx(0.2)
 
     def test_benign_tail_flushes_at_stream_end(self):
-        r = simulate_grouping([1.0, 2.0], [False, False], proc_time=lambda b: 0.3)
+        r = simulate_groups(
+            [1.0, 2.0], grouping_flush_sizes([False, False]), proc_time=lambda b: 0.3
+        )
         assert list(r.response) == pytest.approx([2.3, 2.3])
 
     def test_max_buffer_cap(self):
         urgent = [False] * 4
-        r = simulate_grouping(
-            [1.0, 2.0, 3.0, 4.0], urgent, proc_time=lambda b: 0.0, max_buffer=2
+        r = simulate_groups(
+            [1.0, 2.0, 3.0, 4.0],
+            grouping_flush_sizes(urgent, max_buffer=2),
+            proc_time=lambda b: 0.0,
         )
         assert list(r.response) == pytest.approx([2.0, 2.0, 4.0, 4.0])
 
@@ -79,9 +90,23 @@ class TestGrouping:
         t = np.arange(0.0, 100.0, 0.1)
         urgent = np.zeros(len(t), dtype=bool)
         urgent[::50] = True  # sparse fraud
-        g = simulate_grouping(t, urgent, proc_time=lambda b: 0.01)
-        b = simulate_batch(t, 500, proc_time=lambda b: 0.01)
+        g = simulate_groups(t, grouping_flush_sizes(urgent), proc_time=lambda b: 0.01)
+        b = simulate_groups(t, _batches(len(t), 500), proc_time=lambda b: 0.01)
         assert g.latency[urgent].mean() < b.latency[urgent].mean() / 10
+
+
+class TestGroups:
+    def test_sizes_must_cover_the_arrivals(self):
+        with pytest.raises(ValueError, match="cover"):
+            simulate_groups([1.0, 2.0, 3.0], [2], proc_time=lambda b: 0.0)
+
+    def test_proc_time_sees_group_size(self):
+        r = simulate_groups([1.0, 2.0, 3.0], [1, 2], proc_time=lambda b: 10.0 * b)
+        assert list(r.response) == pytest.approx([11.0, 23.0, 23.0])
+
+    def test_empty_stream(self):
+        r = simulate_groups([], [], proc_time=lambda b: 1.0)
+        assert len(r.response) == 0
 
 
 class TestPrevention:

@@ -1,15 +1,16 @@
 """Structured Streaming micro-batch ingestion and the replay harness."""
 import pytest
 
-from repro.core import DW, SpadeEngine
+from repro.core import DG, DW, FD, SpadeEngine
 from repro.datasets import load_preset
+from repro.spark.builder import engine_from_frame
 from repro.spark.streaming import (
     replay,
     replay_grouped,
     run_stream,
     write_increment_files,
 )
-from tests.helpers import assert_engine_valid
+from tests.helpers import assert_engine_valid, grouping_flush_sizes
 
 
 @pytest.fixture(scope="module")
@@ -18,12 +19,7 @@ def data():
 
 
 def _fresh_engine(data):
-    eng = SpadeEngine(DW)
-    eng.bulk_load(
-        list(data.initial[["src", "dst", "amount"]].itertuples(index=False, name=None)),
-        priors=data.priors,
-    )
-    return eng
+    return engine_from_frame(data.initial, DW, data.priors)
 
 
 class TestFiles:
@@ -85,22 +81,27 @@ class TestReplay:
         ts = [d.last_ts for d in res.detections]
         assert ts == sorted(ts)
 
-    def test_first_detection_of(self, data):
-        eng = _fresh_engine(data)
-        res = replay(eng, data.increments, batch_size=100)
-        everyone = set()
-        for d in res.detections:
-            everyone |= d.new_fraudsters
-        if everyone:
-            one = next(iter(everyone))
-            hit = res.first_detection_of({one})
-            assert hit is not None and one in hit.new_fraudsters
-        assert res.first_detection_of({"no-such-vertex"}) is None
-
     def test_replay_grouped_flags_and_flushes(self, data):
         eng = _fresh_engine(data)
         res, urgent = replay_grouped(eng, data.increments, max_buffer=500)
         assert len(urgent) == len(data.increments)
         assert res.total_edges == len(data.increments)
         assert eng.buffered_edges == 0
+        assert_engine_valid(eng)
+
+
+class TestGroupedFlushes:
+    """The groups replay_grouped applies are the flushes of the §4.3 rule."""
+
+    @pytest.fixture(scope="class")
+    def data(self):
+        return load_preset("grab1_lite", scale=0.05)
+
+    @pytest.mark.parametrize("metric", [DG, DW, FD], ids=lambda m: m.name)
+    def test_applied_groups_equal_flush_rule(self, data, metric):
+        eng = engine_from_frame(data.initial, metric, data.priors)
+        res, urgent = replay_grouped(eng, data.increments, max_buffer=500)
+        applied = [d.n_edges for d in res.detections]
+        assert applied == grouping_flush_sizes(urgent, max_buffer=500)
+        assert [d.batch_id for d in res.detections] == list(range(len(applied)))
         assert_engine_valid(eng)

@@ -66,6 +66,13 @@ class TestProperty31:
         DG.check(0.0, 1e-9)
         FD.check(5.0, 0.3)
 
+    @pytest.mark.parametrize("x", [math.inf, math.nan])
+    def test_non_finite_weights_rejected(self, x):
+        with pytest.raises(ValueError, match="finite"):
+            FD.check(x, 1.0)
+        with pytest.raises(ValueError, match="finite"):
+            FD.check(0.0, x)
+
     def test_custom_metric_checked(self):
         m = Metric("BAD", vsusp=lambda p: -1.0, esusp=lambda a, d: 0.0)
         with pytest.raises(ValueError):
