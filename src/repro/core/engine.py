@@ -33,6 +33,19 @@ whites are emitted *in bulk* with a vectorized scan for the first
 ``G_T`` (T entries, pops, and gray recoveries), which is what makes
 per-edge maintenance orders of magnitude faster than a scratch peel.
 
+In-place reorder
+----------------
+Algorithm 2 writes ``O'`` straight into the sequence arrays. The scan
+reads the frontier slot ``k``; a cursor ``j`` receives each emission
+(a ``T`` pop, a pruned affected vertex, a white run). Every slot read
+either is emitted or enters ``T``, so ``j = k - |T| <= k``: a write
+only lands on a slot the scan has already read, and a white run is one
+overlapping slice move back over the ``|T|`` vacated slots. When ``T``
+empties, ``j`` meets ``k`` and the rewritten segment closes with its
+vertex set kept; the scan then jumps ``j = k`` to the next black slot.
+Emitted vertices sit at slots ``<= k`` and ``T`` members are checked
+through ``wT`` first, so ``pos[u] > k`` still means "not yet read".
+
 Complexity: ``O(|E_T| + |E_T| log |V_T|)`` event work per update plus
 vectorized ``O(n)`` scans (white-run copies and the ``Detect``
 suffix-density argmax).
@@ -86,7 +99,6 @@ class SpadeEngine:
         self._lo = 0
         self._hi = 0
         # --- detection state ----------------------------------------------
-        self._best_index = 0  # absolute slot where S^P starts
         self._best_g = 0.0
         self._community: Set[int] = set()
         # --- edge grouping -------------------------------------------------
@@ -245,7 +257,7 @@ class SpadeEngine:
         self._rebuild_sequence()
 
     def _rebuild_sequence(self) -> None:
-        """Static peel of the current graph (used at load; test comparator)."""
+        """Static peel of the current graph (the initial sequence of ``bulk_load``)."""
         n = self.n_vertices
         order, delta = peel_sequence(n, self._adj, self._a)
         pad = max(64, n // 4)
@@ -267,8 +279,7 @@ class SpadeEngine:
         i, self._best_g = best_community(
             self._order[lo:hi], self._delta[lo:hi], self._f_total
         )
-        self._best_index = lo + i
-        new_comm = set(map(int, self._order[self._best_index : self._hi]))
+        new_comm = set(map(int, self._order[lo + i : hi]))
         fresh = new_comm - self._community
         self._community = new_comm
         return {self._ext_of[v] for v in fresh}
@@ -293,7 +304,6 @@ class SpadeEngine:
         self._order, self._delta = order, delta
         self._lo += shift
         self._hi += shift
-        self._best_index += shift
         self._pos[self._order[self._lo : self._hi]] += shift
 
     def _insert_head(self, vid: int) -> None:
@@ -332,29 +342,19 @@ class SpadeEngine:
         gray_heap: List[int] = []  # slots of gray vertices ahead of the frontier
         wT: Dict[int, float] = {}
         heap: List[Tuple[float, int]] = []
-        # Emitted output, assembled per contiguous rewritten segment as a
-        # mix of scalar events and bulk white runs (slice references).
-        segments: List[Tuple[int, List]] = []
-        parts: List = []  # ("run", s, e) | ("one", vid, delta)
-        k = black_pos[0]
-        seg_start = k
-
-        def close_segment() -> None:
-            if parts:
-                segments.append((seg_start, parts.copy()))
-                parts.clear()
-
+        # O' is written in place at the cursor j = k - |T|: every write
+        # lands on a slot the frontier has already read.
+        k = j = black_pos[0]
         while True:
             if not wT:
-                # T empty: everything up to the next black keeps its old
-                # order in place (stored Δ are exact again — DESIGN.md).
-                close_segment()
+                # T empty: j has met k, the segment keeps its vertex set,
+                # and everything up to the next black keeps its old order
+                # in place (stored Δ are exact again — DESIGN.md).
                 while bi < len(black_pos) and black_pos[bi] < k:
                     bi += 1
                 if bi >= len(black_pos):
                     break
-                k = black_pos[bi]
-                seg_start = k
+                k = j = black_pos[bi]
             # Lazily prune stale heap entries, then peek the T head.
             while heap and (heap[0][1] not in wT or heap[0][0] != wT[heap[0][1]]):
                 heapq.heappop(heap)
@@ -374,7 +374,10 @@ class SpadeEngine:
                 # N(u_min).
                 _, vmin = heapq.heappop(heap)
                 del wT[vmin]
-                parts.append(("one", vmin, dmin))
+                order[j] = vmin
+                delta[j] = dmin
+                pos[vmin] = j
+                j += 1
                 nbrs = adj[vmin]
                 if len(wT) < len(nbrs):
                     for u in list(wT):
@@ -389,11 +392,12 @@ class SpadeEngine:
                             heapq.heappush(heap, (wT[u], u))
                 continue
             if k >= end:
-                continue  # wT must be empty; loop top closes and breaks
+                continue  # wT must be empty; loop top breaks
             vk = int(order[k])
             if vk in black or vk in gray:
                 # Case 2(a): affected vertex — recover its true current
-                # weight (edges to T members and to pending slots).
+                # weight (edges to T members and to pending slots; an
+                # emitted vertex sits at a slot <= k).
                 while bi < len(black_pos) and black_pos[bi] <= k:
                     bi += 1
                 w = a[vk]
@@ -414,7 +418,10 @@ class SpadeEngine:
                     # cascade to the genuinely affected area: a dense
                     # community's halo would otherwise be re-peeled on
                     # every nearby insertion.
-                    parts.append(("one", vk, dk))
+                    order[j] = vk
+                    delta[j] = dk
+                    pos[vk] = j
+                    j += 1
                     k += 1
                     continue
                 wT[vk] = w
@@ -442,29 +449,13 @@ class SpadeEngine:
             else:
                 exceed = np.flatnonzero(delta[k + 1 : limit] >= dmin)
                 event = (k + 1 + int(exceed[0])) if len(exceed) else limit
-            parts.append(("run", k, event))
-            k = event
-        close_segment()
-
-        # Write the rewritten segments back (vectorized per segment).
-        for start, segment in segments:
-            vs: List[np.ndarray] = []
-            ds: List[np.ndarray] = []
-            for p in segment:
-                if p[0] == "run":
-                    _, s, e = p
-                    vs.append(order[s:e].copy())
-                    ds.append(delta[s:e].copy())
-                else:
-                    _, vid, d = p
-                    vs.append(np.array([vid], dtype=np.int64))
-                    ds.append(np.array([d], dtype=np.float64))
-            seg_v = np.concatenate(vs)
-            seg_d = np.concatenate(ds)
-            stop = start + len(seg_v)
-            order[start:stop] = seg_v
-            delta[start:stop] = seg_d
-            pos[seg_v] = np.arange(start, stop, dtype=np.int64)
+            # T is non-empty here, so j < k: slide the run back over the
+            # |T| vacated slots (a forward overlapping move, safe in numpy).
+            stop = j + event - k
+            order[j:stop] = order[k:event]
+            delta[j:stop] = delta[k:event]
+            pos[order[j:stop]] = np.arange(j, stop, dtype=np.int64)
+            j, k = stop, event
 
     # ------------------------------------------------------------------
     # public update APIs (paper Listing 1)
